@@ -444,11 +444,6 @@ class CFTAttack:
                 continue
             _, index, new_value = best
             old_value = apply_value(index, np.int8(new_value))
-            if engine is not None and batch_enabled():
-                # The scoring round buffered each candidate's perturbed-layer
-                # output; promote the winner's into the activation cache so
-                # the next round's prefix restore starts past this layer.
-                engine.promote_speculation((index, new_value))
             committed_flips.append((index, old_value, np.int8(new_value)))
             current_q[index] = new_value
             filled_groups.add(int(group_of[index]))

@@ -7,20 +7,14 @@ statistics/normalization -- to the process-wide active backend:
 
 - ``numpy`` (default): the exact op sequence the repo has always run --
   byte-identical to every golden snapshot and engine digest;
-- ``threads`` / ``threads:N``: the reference kernels cut into disjoint
-  leading-axis panels executed on a thread pool -- byte-identical at any
-  thread count (it runs under the golden suite), faster wherever more
-  than one core is available;
-- ``fast``: fused contiguous float32 GEMMs across inference *and* the CFT
-  training path -- faster, but only tolerance-equal, so it is opt-in and
-  excluded from byte-identity tests.
+- ``fast``: overrides only the kernels where a fused float32 GEMM measured
+  faster than the reference (see :mod:`repro.backend.fast`) -- only
+  tolerance-equal, so it is opt-in and excluded from byte-identity tests.
 
 Selection: the ``REPRO_BACKEND`` environment variable at first use (sweep
 worker processes inherit it), or :func:`set_backend` programmatically.  The
 CLI's ``--backend`` flag exports the environment variable so child
-processes agree with the parent.  A ``:<param>`` suffix parameterizes the
-family (``threads:4``); the bare family name uses its default (``threads``
-sizes the pool to the CPU count).
+processes agree with the parent.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from typing import Dict, List, Optional, Type
 from repro.backend.base import Backend
 from repro.backend.fast import FastBackend
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.threads import ThreadsBackend
 from repro.errors import BackendError
 
 __all__ = [
@@ -39,7 +32,6 @@ __all__ = [
     "BackendError",
     "FastBackend",
     "NumpyBackend",
-    "ThreadsBackend",
     "available_backends",
     "backend_name",
     "current_backend",
@@ -50,34 +42,25 @@ __all__ = [
 _REGISTRY: Dict[str, Type[Backend]] = {
     NumpyBackend.name: NumpyBackend,
     FastBackend.name: FastBackend,
-    ThreadsBackend.name: ThreadsBackend,
 }
 
 _active: Optional[Backend] = None
 
 
 def available_backends() -> List[str]:
-    """Family names accepted by :func:`set_backend` and ``REPRO_BACKEND``.
-
-    Parameterized families additionally accept a ``:<param>`` suffix
-    (``threads:4``).
-    """
+    """Names accepted by :func:`set_backend` and ``REPRO_BACKEND``."""
     return sorted(_REGISTRY)
 
 
 def set_backend(name: str) -> Backend:
-    """Activate a backend by name (or ``family:param`` spec) process-wide."""
+    """Activate a backend by name process-wide."""
     global _active
-    family, _, _ = name.partition(":")
-    backend_cls = _REGISTRY.get(family)
+    backend_cls = _REGISTRY.get(name)
     if backend_cls is None:
         raise BackendError(
             f"unknown backend {name!r}; available: {', '.join(available_backends())}"
         )
-    backend = backend_cls.from_spec(name)
-    if _active is not None:
-        _active.close()
-    _active = backend
+    _active = backend_cls()
     return _active
 
 
@@ -94,13 +77,6 @@ def backend_name() -> str:
 
 
 def reset_backend() -> None:
-    """Drop the active backend so the next use re-reads ``REPRO_BACKEND``.
-
-    Also releases backend-owned resources (the ``threads`` pool); sweep
-    workers call this after fork, where inherited pool threads no longer
-    exist.
-    """
+    """Drop the active backend so the next use re-reads ``REPRO_BACKEND``."""
     global _active
-    if _active is not None:
-        _active.close()
     _active = None

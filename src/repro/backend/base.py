@@ -6,15 +6,9 @@ im2col contraction (and its backward scatter + gradient GEMMs) behind every
 statistics/normalization.  The default
 :class:`~repro.backend.numpy_backend.NumpyBackend` reproduces the
 historical op sequence bit for bit, so switching it in is invisible to the
-golden snapshots; the ``threads`` profile partitions work into panels that
-never change any reduction order (byte-identical too, at any thread
-count); the ``fast`` profile trades byte-identity for throughput and is
-therefore covered by tolerance-based parity tests only, never by the
-byte-exact golden suite.
-
-Parameterized selection: a ``REPRO_BACKEND`` value may carry a ``:<param>``
-suffix (today only ``threads:N``); :meth:`Backend.from_spec` parses it, and
-:attr:`Backend.spec` preserves the full selector for manifests and restore.
+golden snapshots; the ``fast`` profile trades byte-identity for
+throughput and is therefore covered by tolerance-based parity tests only,
+never by the byte-exact golden suite.
 """
 
 from __future__ import annotations
@@ -23,13 +17,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.errors import BackendError
-
 
 class Backend:
     """Base class for compute backends.
 
-    Subclasses set :attr:`name` (the ``REPRO_BACKEND`` family selecting
+    Subclasses set :attr:`name` (the ``REPRO_BACKEND`` value selecting
     them) and :attr:`byte_identical` (whether the backend guarantees the
     exact bytes of the default NumPy op sequence -- golden and digest
     tests only run under byte-identical backends).
@@ -37,34 +29,6 @@ class Backend:
 
     name: str = "base"
     byte_identical: bool = False
-
-    @classmethod
-    def from_spec(cls, spec: str) -> "Backend":
-        """Build a backend from a full selector (e.g. ``threads:4``).
-
-        The base implementation accepts only the bare family name;
-        parameterized backends override this to parse their suffix.
-        """
-        base, sep, _ = spec.partition(":")
-        if sep:
-            raise BackendError(
-                f"backend {base!r} takes no ':<param>' suffix (got {spec!r})"
-            )
-        backend = cls()
-        backend.spec = spec
-        return backend
-
-    @property
-    def spec(self) -> str:
-        """The full selector this backend was built from (default: name)."""
-        return getattr(self, "_spec", self.name)
-
-    @spec.setter
-    def spec(self, value: str) -> None:
-        self._spec = value
-
-    def close(self) -> None:
-        """Release backend-owned resources (thread pools); idempotent."""
 
     # ------------------------------------------------------------------
     # Convolution kernels
@@ -164,6 +128,5 @@ class Backend:
         """Metadata exported into bench reports and manifests."""
         return {
             "name": self.name,
-            "spec": self.spec,
             "byte_identical": self.byte_identical,
         }

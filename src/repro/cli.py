@@ -607,10 +607,10 @@ def build_parser() -> argparse.ArgumentParser:
              "purely a performance switch)",
     )
     parser.add_argument(
-        "--backend", default=None, metavar="NAME[:PARAM]",
-        help="compute backend (default: REPRO_BACKEND or numpy); 'threads' "
-             "or 'threads:N' runs panel-parallel byte-identical kernels, "
-             "'fast' trades byte-level determinism for fused float32 GEMMs",
+        "--backend", default=None, metavar="NAME",
+        help="compute backend: 'numpy' (default: REPRO_BACKEND or numpy) or "
+             "'fast', which trades byte-level determinism for fused float32 "
+             "conv and dense-backward GEMMs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -251,7 +251,7 @@ def _bench_engine_section(seed: int, candidates: int = 24) -> Dict[str, float]:
 
 def _bench_kernel_sections(
     seed: int,
-    profiles: Sequence[str] = ("numpy", "threads:4", "fast"),
+    profiles: Sequence[str] = ("numpy", "fast"),
     reps: int = 30,
 ) -> Dict[str, Dict[str, float]]:
     """Per-kernel timings for every backend kernel across compute profiles.
@@ -260,17 +260,10 @@ def _bench_kernel_sections(
     conv2 im2col GEMM (and its backward pair + col2im scatter), the lifted
     3-D dense forward/backward the engine's candidate scoring runs, and a
     batch-norm stats+apply pass -- and times each kernel under each profile.
-    Byte-identical profiles (``threads:N``) are verified against the
-    reference output byte-for-byte and the bench fails hard on a mismatch;
-    ``fast`` is timed but never byte-compared.
 
     Records spans ``bench_kernels.<kernel>.<profile>`` and gauges
     ``kernel.<kernel>.<profile>_seconds`` (plus ``_speedup`` relative to the
-    reference profile; profile names are sanitized, ``threads:4`` ->
-    ``threads_4``).  After the threads profile runs, the instance-accumulated
-    GEMM wall-clock is exported as the ``backend.gemm.ns_per_call`` gauge --
-    bench is the only exporter of that wall-clock metric, keeping sweep-task
-    metrics deterministic.
+    first, reference profile).
     """
     from repro.backend import current_backend, set_backend
 
@@ -303,51 +296,28 @@ def _bench_kernel_sections(
         ),
     }
 
-    def result_bytes(result) -> bytes:
-        parts = result if isinstance(result, tuple) else (result,)
-        return b"".join(p.tobytes() for p in parts if p is not None)
-
-    previous_spec = current_backend().spec
+    previous = current_backend().name
     sections: Dict[str, Dict[str, float]] = {name: {} for name in kernels}
-    reference_key = None
+    reference = profiles[0]
     try:
         with telemetry.span("bench_kernels"):
-            references: Dict[str, bytes] = {}
             for profile in profiles:
                 backend = set_backend(profile)
-                key = profile.replace(":", "_")
-                if reference_key is None:
-                    reference_key = key
                 for name, kernel in kernels.items():
-                    kernel(backend)  # warm (pool spin-up, BLAS first-touch)
-                    with telemetry.span(f"bench_kernels.{name}.{key}"):
+                    kernel(backend)  # warm (BLAS first-touch)
+                    with telemetry.span(f"bench_kernels.{name}.{profile}"):
                         start = time.perf_counter()
                         for _ in range(reps):
-                            result = kernel(backend)
+                            kernel(backend)
                         seconds = (time.perf_counter() - start) / reps
-                    if profile == profiles[0]:
-                        references[name] = result_bytes(result)
-                    elif backend.byte_identical and (
-                        result_bytes(result) != references[name]
-                    ):
-                        raise RuntimeError(
-                            f"backend determinism contract broken: kernel "
-                            f"{name!r} under {profile!r} differs from the "
-                            "reference bytes"
-                        )
-                    sections[name][key] = seconds
-                    telemetry.gauge_set(f"kernel.{name}.{key}_seconds", seconds)
-                    if key != reference_key:
-                        speedup = sections[name][reference_key] / seconds
-                        sections[name][f"{key}_speedup"] = speedup
-                        telemetry.gauge_set(f"kernel.{name}.{key}_speedup", speedup)
-                gemm_calls = getattr(backend, "gemm_calls", 0)
-                if gemm_calls:
-                    telemetry.gauge_set(
-                        "backend.gemm.ns_per_call", backend.gemm_ns / gemm_calls
-                    )
+                    sections[name][profile] = seconds
+                    telemetry.gauge_set(f"kernel.{name}.{profile}_seconds", seconds)
+                    if profile != reference:
+                        speedup = sections[name][reference] / seconds
+                        sections[name][f"{profile}_speedup"] = speedup
+                        telemetry.gauge_set(f"kernel.{name}.{profile}_speedup", speedup)
     finally:
-        set_backend(previous_spec)
+        set_backend(previous)
     return sections
 
 

@@ -29,23 +29,9 @@ sequential path's exact shape.  The parity suite in
 ``tests/test_engine.py`` and the ``repro bench`` batched-section digest
 hard-fail both pin this.
 
-**Round-ahead speculation**: the per-candidate perturbed-layer outputs
-computed in step 2 are exactly what a prefix restore would recompute after
-committing that candidate -- so the round parks them on the engine
-(``engine._speculation``) keyed by proposal.  When the caller commits the
-round's winner and calls ``engine.promote_speculation``, the winner's
-buffers are promoted into the activation cache under the post-commit
-signature prefix (after verifying no earlier stage changed), and round
-``k+1``'s shared-prefix restore starts hot instead of recomputing through
-the committed layer.  Promotion is purely a cache warm-up: any signature
-mismatch discards the buffers (transparent fallback, counted as
-``engine.batch.spec_discard``; promotions count as
-``engine.batch.spec_hit``).
-
 Exported telemetry (``engine.batch.*``): ``rounds`` (calls), ``candidates``
-(proposals scored), ``groups`` (distinct perturbed stages per call),
-``suffix_forwards`` (stacked suffix executions) and the
-``spec_hit``/``spec_discard`` pair above.
+(proposals scored), ``groups`` (distinct perturbed stages per call) and
+``suffix_forwards`` (stacked suffix executions).
 """
 
 from __future__ import annotations
@@ -142,8 +128,6 @@ def score_candidates(
     for position, (_, _, stage, _) in enumerate(located):
         groups.setdefault(stage, []).append(position)
 
-    engine._speculation = None
-    spec_candidates: dict = {}
     results: List[List[np.ndarray]] = [[None] * len(located) for _ in arrays]
     suffix_forwards = 0
     for stage in needed:
@@ -160,14 +144,6 @@ def score_candidates(
                         stages[stage].fn(Tensor(prefixes[(bi, stage)])).data
                     )
             _apply_byte(qmodel, name, local, previous)
-            # Park this candidate's perturbed stage outputs for round-ahead
-            # promotion: if the caller commits it, these arrays ARE the
-            # post-commit input of stage+1 for each image batch.
-            index, proposed = proposals[position]
-            spec_candidates[(int(index), int(proposed))] = {
-                "stage": stage,
-                "outputs": [outputs[bi][-1] for bi in range(len(arrays))],
-            }
 
         for bi, array in enumerate(arrays):
             if stage == last:
@@ -212,10 +188,5 @@ def score_candidates(
         telemetry.counter_add("engine.batch.groups", len(needed))
         telemetry.counter_add("engine.batch.suffix_forwards", suffix_forwards)
 
-    engine._speculation = {
-        "sigs": sigs,
-        "fingerprints": fingerprints,
-        "candidates": spec_candidates,
-    }
     stacked = [np.stack(per_batch) for per_batch in results]
     return stacked[0] if single else stacked

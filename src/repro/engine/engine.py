@@ -82,14 +82,6 @@ class EvalEngine:
             default_byte_budget() if byte_budget is None else byte_budget
         )
         self._memo = _FingerprintMemo()
-        # Round-ahead speculation: the last batched scoring round parks its
-        # per-candidate perturbed stage outputs here (see
-        # :mod:`repro.engine.batch`); committing a winner promotes the
-        # matching buffer into the activation cache under the post-commit
-        # signature, so the next round's shared-prefix restore starts hot.
-        self._speculation: Optional[dict] = None
-        self.spec_hits = 0
-        self.spec_discards = 0
 
     @property
     def module(self) -> Module:
@@ -172,54 +164,6 @@ class EvalEngine:
 
         return score_candidates(self, qmodel, proposals, images)
 
-    def promote_speculation(self, proposal) -> bool:
-        """Promote a committed candidate's buffered stage output into the cache.
-
-        ``proposal`` is the ``(flat_index, new_value)`` pair the caller just
-        committed (after the scoring round that parked the speculation
-        buffers).  If the buffers are still valid -- the committed byte is
-        one of the scored candidates, no stage *before* the perturbed one
-        changed since scoring, and the perturbed stage's signature actually
-        moved -- the buffered perturbed-layer outputs are byte-identical to
-        what a post-commit prefix restore would recompute, so they are
-        inserted into the activation cache under the new signature prefix
-        and the next round starts from a hot cache.  Any mismatch discards
-        the speculation silently: correctness never depends on promotion
-        (transparent fallback), only the recompute cost does.
-
-        Returns ``True`` on promotion (``spec_hit``), ``False`` on discard.
-        """
-        spec, self._speculation = self._speculation, None
-        promoted = False
-        if spec is not None and proposal is not None:
-            entry = spec["candidates"].get((int(proposal[0]), int(proposal[1])))
-            if entry is not None:
-                stage = entry["stage"]
-                sigs2 = self.plan.signatures()
-                old = spec["sigs"]
-                if (
-                    len(sigs2) == len(old)
-                    and sigs2[:stage] == old[:stage]
-                    and sigs2[stage] != old[stage]
-                ):
-                    for fp, out in zip(spec["fingerprints"], entry["outputs"]):
-                        self.cache.put((fp, stage, sigs2[: stage + 1]), out)
-                    promoted = True
-        if promoted:
-            self.spec_hits += 1
-        else:
-            self.spec_discards += 1
-        if telemetry.enabled():
-            telemetry.counter_add(
-                "engine.batch.spec_hit" if promoted else "engine.batch.spec_discard"
-            )
-        if telemetry.events_enabled():
-            # Deterministic (one event per commit, promoted-or-not is a pure
-            # function of the seeded run), so the flight record stays
-            # byte-identical and `repro report` can render speculation hits.
-            telemetry.event("engine.spec", promoted=promoted)
-        return promoted
-
     __call__ = forward
 
     def counters(self) -> Dict[str, int]:
@@ -229,6 +173,4 @@ class EvalEngine:
             "engine.cache.hit": stats.hits,
             "engine.cache.miss": stats.misses,
             "engine.cache.evicted_bytes": stats.evicted_bytes,
-            "engine.batch.spec_hit": self.spec_hits,
-            "engine.batch.spec_discard": self.spec_discards,
         }

@@ -28,12 +28,10 @@ cover, because ``fork`` workers inherit the parent's modules verbatim):
   with the parent.  Engine *instances* (and their activation caches) are
   created per evaluation loop, never at module level, so no cached
   activations can leak across tasks or processes.
-- :mod:`repro.backend`'s process-wide active backend -- reset here.  A
-  ``fork`` worker inherits the parent's backend object but not its
-  threads, so an inherited ``threads`` pool would deadlock on first use;
-  the reset drops it (``shutdown(wait=False)``) and the next kernel call
-  rebuilds the backend from ``REPRO_BACKEND``, which the CLI mirrors into
-  the environment -- fork and spawn workers agree with the parent.
+- :mod:`repro.backend`'s process-wide active backend -- reset here, so
+  the next kernel call rebuilds it from ``REPRO_BACKEND``, which the CLI
+  mirrors into the environment -- fork and spawn workers agree with the
+  parent.
 """
 
 from __future__ import annotations

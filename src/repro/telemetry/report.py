@@ -174,12 +174,6 @@ def analyze_flight(events: Sequence[Event]) -> Dict[str, object]:
 
     sched = analyze_sched(events)
 
-    spec_events = _all(events, "engine.spec")
-    speculation = {
-        "promoted": sum(1 for e in spec_events if e.data.get("promoted")),
-        "discarded": sum(1 for e in spec_events if not e.data.get("promoted")),
-    }
-
     return {
         "run": {
             "method": (offline or start or Event(0, "")).data.get("method"),
@@ -201,7 +195,6 @@ def analyze_flight(events: Sequence[Event]) -> Dict[str, object]:
         },
         "failures": failures,
         "sched": sched,
-        "speculation": speculation,
         "event_kinds": _kind_counts(events),
     }
 
@@ -324,14 +317,6 @@ def render_flight_markdown(analysis: Dict[str, object]) -> str:
         lines += _table(["round", "loss", "ASR", "candidates"], rows)
     else:
         lines.append("(no per-round convergence events recorded)")
-    speculation = analysis.get("speculation") or {}
-    if speculation.get("promoted") or speculation.get("discarded"):
-        lines.append("")
-        lines.append(
-            f"Round-ahead speculation: {speculation['promoted']} commit(s) "
-            f"promoted from scoring buffers, {speculation['discarded']} "
-            "discarded (stale signatures fall back to recompute)."
-        )
 
     massaging = analysis["massaging"]
     lines += ["", "## Massaging timeline", ""]

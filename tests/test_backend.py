@@ -3,9 +3,11 @@
 The default ``numpy`` backend IS the historical code path -- its GEMM
 expression is character-for-character what ``Conv2dFunction.forward``
 inlined before the abstraction existed, so byte-identity tests pin it.
-The ``fast`` profile trades that byte-level determinism for a fused
-contiguous float32 GEMM, so it is covered by *tolerance* parity only and
-explicitly excluded from the golden suites.
+The ``fast`` profile trades that byte-level determinism for fused
+contiguous float32 GEMMs (conv forward/backward, dense backward), so those
+overrides are covered by *tolerance* parity only and explicitly excluded
+from the golden suites; every kernel it inherits must stay byte-identical
+to ``numpy``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _images(seed=0):
 
 
 def test_registry_lists_all_backends():
-    assert set(available_backends()) == {"numpy", "fast", "threads"}
+    assert available_backends() == ["fast", "numpy"]
 
 
 def test_default_backend_is_numpy_and_byte_identical(monkeypatch):
@@ -65,7 +67,6 @@ def test_set_backend_switches_and_describes():
     assert current_backend().byte_identical is False
     assert current_backend().describe() == {
         "name": "fast",
-        "spec": "fast",
         "byte_identical": False,
     }
 
@@ -74,6 +75,11 @@ def test_unknown_backend_raises_backend_error():
     with pytest.raises(BackendError, match="unknown backend"):
         set_backend("cuda")
     assert issubclass(BackendError, ReproError)
+
+
+def test_unparameterized_backend_rejects_param_suffix():
+    with pytest.raises(BackendError, match="unknown backend 'numpy:2'"):
+        set_backend("numpy:2")
 
 
 def test_env_var_selects_backend(monkeypatch):
@@ -89,6 +95,11 @@ def test_env_var_unknown_backend_raises(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "tpu")
     reset_backend()
     with pytest.raises(BackendError):
+        current_backend()
+    # A removed profile name fails like any other unknown name.
+    monkeypatch.setenv("REPRO_BACKEND", "threads")
+    reset_backend()
+    with pytest.raises(BackendError, match="available: fast, numpy"):
         current_backend()
 
 
@@ -172,6 +183,50 @@ def test_fast_backend_output_is_contiguous_float32():
     np.testing.assert_allclose(out, cols @ w_mat.T, rtol=1e-5, atol=1e-6)
 
 
+def _kernel_calls():
+    """Arguments for each inherited kernel, on small bench-CNN-like shapes."""
+    rng = np.random.default_rng(4)
+    cols = rng.standard_normal((8, 64, 72)).astype(np.float32)
+    # A lifted 10-class head: (K, N, in) @ (in, out).
+    x3 = rng.standard_normal((4, 8, 32)).astype(np.float32)
+    w_t = rng.standard_normal((10, 32)).astype(np.float32).T
+    bias = rng.standard_normal((10,)).astype(np.float32)
+    xbn = rng.standard_normal((8, 16, 8, 8)).astype(np.float32)
+    stats = (xbn.mean(axis=(0, 2, 3)), xbn.var(axis=(0, 2, 3)))
+    gamma = rng.standard_normal((16,)).astype(np.float32)
+    beta = rng.standard_normal((16,)).astype(np.float32)
+    return {
+        "im2col_backward": (cols, (8, 8, 16, 16), 3, 3, 2, 1, 8, 8),
+        "linear": (x3, w_t, bias),
+        "batchnorm_stats": (xbn,),
+        "batchnorm_apply": (xbn, gamma, beta, *stats, 1e-5),
+    }
+
+
+def _result_bytes(result):
+    parts = result if isinstance(result, tuple) else (result,)
+    return [None if p is None else p.tobytes() for p in parts]
+
+
+# Kernels ``fast`` inherits from ``numpy``.  An override must beat the
+# per-kernel bench's noise floor in every run (see repro.backend.fast), so
+# moving a kernel out of this list has to come with that measurement.
+FAST_INHERITED = (
+    "im2col_backward",
+    "linear",
+    "batchnorm_stats",
+    "batchnorm_apply",
+)
+
+
+@pytest.mark.parametrize("kernel", FAST_INHERITED)
+def test_fast_backend_inherited_kernels_are_numpy_bytes(kernel):
+    args = _kernel_calls()[kernel]
+    reference = _result_bytes(getattr(set_backend("numpy"), kernel)(*args))
+    fast = _result_bytes(getattr(set_backend("fast"), kernel)(*args))
+    assert fast == reference
+
+
 @pytest.mark.fast_backend
 def test_fast_backend_cft_training_step_tolerance_parity():
     """A full CFT fine-tune run (forward + backward) under ``fast``.
@@ -219,139 +274,12 @@ def test_fast_backend_cft_training_step_tolerance_parity():
 
 
 # ---------------------------------------------------------------------------
-# Threads backend: byte-identical at any thread count
-
-
-def test_threads_spec_parses_worker_count():
-    backend = set_backend("threads:3")
-    assert backend.name == "threads"
-    assert backend.workers == 3
-    assert backend.spec == "threads:3"
-    info = backend.describe()
-    assert info["threads"] == 3
-    assert info["byte_identical"] is True
-    assert info["panel_samples"] >= 1
-
-
-def test_threads_bare_spec_uses_cpu_count():
-    import os
-
-    backend = set_backend("threads")
-    assert backend.workers == (os.cpu_count() or 1)
-    assert backend.spec == "threads"
-
-
-@pytest.mark.parametrize("spec", ["threads:x", "threads:", "threads:1:2"])
-def test_threads_invalid_spec_raises(spec):
-    with pytest.raises(BackendError):
-        set_backend(spec)
-
-
-def test_unparameterized_backend_rejects_param_suffix():
-    with pytest.raises(BackendError, match="no ':<param>' suffix"):
-        set_backend("numpy:2")
-
-
-def test_set_backend_closes_previous_backend():
-    backend = set_backend("threads:2")
-    backend._ensure_pool()
-    assert backend._pool is not None
-    set_backend("numpy")
-    assert backend._pool is None
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize(
-    ("model_name", "width"), [("tinycnn", 1.0), ("resnet20", 1.0), ("vgg11", 0.25)]
-)
-def test_threads_forward_backward_byte_identical(model_name, width, workers):
-    """threads:N reproduces the reference bytes, forward and backward.
-
-    Batch 9 forces multiple panels (panel width 8), so the parallel path
-    is actually exercised rather than the single-panel fallback.
-    """
-    from repro.models import build_model
-
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((9, 3, 32, 32)).astype(np.float32)
-
-    def run():
-        model = build_model(model_name, num_classes=4, width=width, rng=0)
-        model.eval()
-        out = model(Tensor(x, requires_grad=True))
-        loss = (out * out).sum()
-        loss.backward()
-        grads = {
-            name: p.grad.tobytes()
-            for name, p in model.named_parameters()
-            if p.grad is not None
-        }
-        return out.data.tobytes(), grads
-
-    set_backend("numpy")
-    ref_out, ref_grads = run()
-    set_backend(f"threads:{workers}")
-    thr_out, thr_grads = run()
-    assert thr_out == ref_out
-    assert set(thr_grads) == set(ref_grads)
-    for name in ref_grads:
-        assert thr_grads[name] == ref_grads[name], name
-
-
-def test_threads_batched_scoring_matches_numpy_bytes():
-    from repro.engine import EvalEngine
-    from repro.quant.bits import flip_bit
-    from repro.quant.qmodel import QuantizedModel
-
-    model = TinyCNN(rng=0)
-    model.eval()
-    qmodel = QuantizedModel(model)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((9, 3, 16, 16)).astype(np.float32)
-    proposals = []
-    for offset in (0, qmodel.total_params // 2, qmodel.total_params - 1):
-        name, local = qmodel.locate(offset)
-        current = qmodel.quantized(name).reshape(-1)[local]
-        proposals.append(
-            (offset, int(flip_bit(np.array([current], dtype=np.int8), 6)[0]))
-        )
-
-    set_backend("numpy")
-    reference = EvalEngine(model).score_candidates(qmodel, proposals, x)
-    set_backend("threads:2")
-    threaded = EvalEngine(model).score_candidates(qmodel, proposals, x)
-    assert threaded.tobytes() == reference.tobytes()
-
-
-def test_threads_golden_pipeline_row_unchanged(tiny_dataset, tiny_test_dataset):
-    """The full seeded pipeline under threads equals the golden snapshot."""
-    import json
-
-    from tests.test_golden_pipeline import GOLDEN_PATH, _run_seeded_pipeline
-
-    set_backend("threads:2")
-    row = _run_seeded_pipeline(tiny_dataset, tiny_test_dataset)
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert row == golden
-
-
-def test_threads_counts_gemm_calls_and_panels():
-    set_backend("threads:2")
-    backend = current_backend()
-    rng = np.random.default_rng(2)
-    cols = rng.standard_normal((17, 10, 12)).astype(np.float32)
-    w_mat = rng.standard_normal((6, 12)).astype(np.float32)
-    backend.conv_cols_matmul(cols, w_mat)
-    assert backend.gemm_calls == 1
-    assert backend.gemm_panels == 3  # ceil(17 / 8)
-    assert backend.gemm_ns > 0
-
-
-# ---------------------------------------------------------------------------
 # CLI surface
 
 
-@pytest.mark.parametrize("spec", ["bogus", "threads:x", "threads:", "numpy:4"])
+@pytest.mark.parametrize(
+    "spec", ["bogus", "threads:x", "threads:", "numpy:4", "threads", "threads:2"]
+)
 def test_cli_rejects_invalid_backend_spec(spec, capsys):
     from repro.cli import main
 
@@ -365,7 +293,7 @@ def test_cli_backend_flag_mirrors_env_for_spawn_workers(monkeypatch, capsys):
     from repro.cli import main
 
     monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    assert main(["--backend", "threads:2", "devices"]) == 0
+    assert main(["--backend", "fast", "devices"]) == 0
     capsys.readouterr()
-    assert os.environ["REPRO_BACKEND"] == "threads:2"
-    assert backend_name() == "threads"
+    assert os.environ["REPRO_BACKEND"] == "fast"
+    assert backend_name() == "fast"

@@ -323,8 +323,6 @@ def test_engine_exports_telemetry_counters(tiny_model):
         "engine.cache.hit": 1,
         "engine.cache.miss": 1,
         "engine.cache.evicted_bytes": 0,
-        "engine.batch.spec_hit": 0,
-        "engine.batch.spec_discard": 0,
     }
 
 
@@ -444,86 +442,6 @@ def test_batched_scoring_exports_telemetry_counters(tiny_model, tiny_quantized):
     assert counters["engine.batch.groups"] == 2
     # conv1 group batches a suffix per image batch; the fc group is the head.
     assert counters["engine.batch.suffix_forwards"] == 2
-
-
-def _commit(qmodel, index, value):
-    """Apply one byte change for real (rebinding the module parameter)."""
-    name, local = qmodel.locate(int(index))
-    tensor = qmodel.quantized(name)
-    flat = tensor.reshape(-1)
-    previous = flat[local]
-    flat[local] = np.int8(value)
-    qmodel.set_quantized(name, flat.reshape(tensor.shape))
-    return previous
-
-
-def test_speculation_promotes_winner_byte_identically(tiny_model, tiny_quantized):
-    tiny_model.eval()
-    engine = EvalEngine(tiny_model)
-    x = _images((2, 3, 16, 16))
-    proposals = _flip_proposals(tiny_quantized, [0, tiny_quantized.total_params // 2])
-    engine.score_candidates(tiny_quantized, proposals, x)
-    assert engine._speculation is not None
-
-    index, value = proposals[0]
-    _commit(tiny_quantized, index, value)
-    assert engine.promote_speculation((index, value)) is True
-    assert engine.spec_hits == 1 and engine.spec_discards == 0
-    assert engine._speculation is None
-    # The promoted entry serves the next forward's prefix; bytes must match
-    # a fresh engine (no cache, no speculation) on the committed weights.
-    promoted = engine.forward(x)
-    fresh = EvalEngine(tiny_model).forward(x)
-    assert promoted.tobytes() == fresh.tobytes()
-
-
-def test_speculation_discarded_when_commit_not_scored(tiny_model, tiny_quantized):
-    tiny_model.eval()
-    engine = EvalEngine(tiny_model)
-    x = _images((2, 3, 16, 16))
-    proposals = _flip_proposals(tiny_quantized, [0])
-    engine.score_candidates(tiny_quantized, proposals, x)
-
-    # Commit a byte that was never part of the scored round.
-    other = _flip_proposals(tiny_quantized, [tiny_quantized.total_params - 1])[0]
-    _commit(tiny_quantized, other[0], other[1])
-    assert engine.promote_speculation(other) is False
-    assert engine.spec_discards == 1
-    assert engine.forward(x).tobytes() == EvalEngine(tiny_model).forward(x).tobytes()
-
-
-def test_speculation_discarded_when_earlier_stage_changed(tiny_model, tiny_quantized):
-    tiny_model.eval()
-    engine = EvalEngine(tiny_model)
-    x = _images((2, 3, 16, 16))
-    # Score a head-layer candidate, then also mutate an early conv weight
-    # before committing: the prefix signature moved, so the parked buffers
-    # are stale and must be dropped.
-    head = _flip_proposals(tiny_quantized, [tiny_quantized.offset_of("fc.weight")])
-    engine.score_candidates(tiny_quantized, head, x)
-    conv_flip = _flip_proposals(tiny_quantized, [0])[0]
-    _commit(tiny_quantized, conv_flip[0], conv_flip[1])
-    _commit(tiny_quantized, head[0][0], head[0][1])
-    assert engine.promote_speculation(head[0]) is False
-    assert engine.spec_discards == 1
-    assert engine.forward(x).tobytes() == EvalEngine(tiny_model).forward(x).tobytes()
-
-
-def test_speculation_counters_exported_via_telemetry(tiny_model, tiny_quantized):
-    tiny_model.eval()
-    x = _images((2, 3, 16, 16))
-    with telemetry.isolated(enable=True) as (registry, _tracer):
-        engine = EvalEngine(tiny_model)
-        proposals = _flip_proposals(tiny_quantized, [0])
-        engine.score_candidates(tiny_quantized, proposals, x)
-        _commit(tiny_quantized, proposals[0][0], proposals[0][1])
-        engine.promote_speculation(proposals[0])
-        engine.promote_speculation(proposals[0])  # nothing parked: discard
-        counters = registry.snapshot()["counters"]
-    assert counters["engine.batch.spec_hit"] == 1
-    assert counters["engine.batch.spec_discard"] == 1
-    assert engine.counters()["engine.batch.spec_hit"] == 1
-    assert engine.counters()["engine.batch.spec_discard"] == 1
 
 
 def test_stage_index_of_maps_params_and_rejects_strangers(tiny_model):
