@@ -217,6 +217,11 @@ def _cmd_queue_sweep(args: argparse.Namespace, grid) -> int:
               "(queue workers claim tasks dynamically; a restarted worker "
               "just reattaches to the queue directory)", file=sys.stderr)
         return 2
+    if args.journal is not None or args.live_dir is not None:
+        print("sweep: --queue is incompatible with --journal/--live-dir "
+              "(a queue worker journals to <queue>/journals/ and beacons to "
+              "<queue>/beacons/)", file=sys.stderr)
+        return 2
     if args.workers != 1:
         print("sweep: --queue workers run tasks inline; start more "
               "`repro sweep --queue` processes instead of --workers",
@@ -525,15 +530,12 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         )
     print(format_sweep(result.rows))
     print(
-        f"merge: {len(result.shards)} {result.schedule} journal(s), "
+        f"merge: {len(result.shards)} journal(s), "
         f"{len(result.records)} result(s) "
         f"({len(result.failures)} failed, {result.missing_count} missing) of "
         f"{result.total_tasks} grid task(s); rows -> {args.out}, journal -> {journal}"
     )
-    if result.workers:
-        print(f"  queue workers: {', '.join(result.workers)}")
-    if result.missing_shards:
-        print(f"  missing shard index(es): {result.missing_shards}")
+    print(f"  workers: {', '.join(result.workers)}")
     for task_id in result.missing_task_ids:
         print(f"  MISSING {task_id} (no journaled result)")
     for task_id, record in result.failures:
@@ -716,7 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "directory (created on first use) instead of a static "
                             "shard; start one such process per host and reassemble "
                             "with `repro merge DIR` (incompatible with --shard/"
-                            "--resume/--workers; no manifest is written)")
+                            "--resume/--workers/--journal/--live-dir; no manifest "
+                            "is written)")
     sweep.add_argument("--worker-id", default=None,
                        help="queue mode: stable worker identity for leases and the "
                             "per-worker journal (default: <hostname>-<pid>)")
@@ -788,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge",
-        help="validate per-host sweep journals (shard or queue mode) and "
+        help="validate per-host sweep journals (shards, queue workers or both) and "
              "reassemble the grid-ordered sweep",
     )
     merge.add_argument("journals", nargs="+",

@@ -12,8 +12,10 @@ failure handling.  Three layers:
   grid as a filesystem-backed work-stealing queue for heterogeneous hosts
   (:mod:`repro.parallel.scheduler`).
 
-Either multi-host mode ends with :func:`merge_journals`, which reassembles
-the per-host journals into the byte-identical unsharded result.  See
+Every journal carries one header schema (grid SHA, grid task ids and the
+owning ``worker``), so either multi-host mode -- or a mix of both -- ends
+with :func:`merge_journals`, which reassembles the per-host journals into
+the byte-identical unsharded result.  See
 ``README.md`` ("Running a multi-host sweep") and the DESIGN.md
 "Distributed sweeps" chapter.
 """
@@ -28,8 +30,6 @@ from repro.parallel.grid import (
 )
 from repro.parallel.journal import (
     JOURNAL_SCHEMA,
-    SCHEDULE_QUEUE,
-    SCHEDULE_SHARD,
     JournalState,
     SweepJournal,
 )
@@ -62,8 +62,6 @@ __all__ = [
     "QueueManifest",
     "QueueRunResult",
     "QueueStatus",
-    "SCHEDULE_QUEUE",
-    "SCHEDULE_SHARD",
     "ShardSpec",
     "ShardView",
     "SweepGrid",

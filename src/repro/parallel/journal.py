@@ -4,8 +4,8 @@ One line per event, appended and flushed as tasks finish, so a sweep killed
 at any point leaves a journal whose intact prefix is a valid checkpoint:
 
 - ``{"kind": "header", ...}``   -- grid identity (``grid_sha`` over the
-  *full* canonical grid + ``total_tasks``) plus this journal's ownership
-  mode, once (see below);
+  *full* canonical grid + ``total_tasks``), the ``worker`` that owns the
+  journal and the full grid's ``grid_task_ids`` in canonical order, once;
 - ``{"kind": "result", ...}``   -- one per finished task (``ok``,
   ``failed``, or ``superseded`` when a queue worker lost the commit race),
   carrying the row and -- when captured -- the task's metrics, span tree
@@ -13,16 +13,12 @@ at any point leaves a journal whose intact prefix is a valid checkpoint:
   ``repro merge`` needs to reassemble the sweep;
 - ``{"kind": "resume", ...}``   -- appended each time a sweep resumes.
 
-Two header modes declare who owns which tasks (``schedule`` field):
-
-- ``schedule="shard"`` (the default; absent in pre-queue journals): the
-  journal covers one *static* contiguous slice of the canonical grid order,
-  pinned upfront as ``shard_index``/``shard_count``/``shard_task_ids``;
-- ``schedule="queue"``: the journal belongs to one ``worker`` of a
-  queue-scheduled sweep (:mod:`repro.parallel.scheduler`).  Ownership is
-  *dynamic* -- whichever tasks this worker claimed and committed -- so the
-  header pins the full grid's ``grid_task_ids`` instead of a slice, and the
-  result records themselves define ownership.
+Every journal has that one header, whoever wrote it: a queue worker
+(:mod:`repro.parallel.scheduler`) names itself, ``run_sweep`` names its
+shard (``shard-<i>-of-<n>``; an unsharded run is ``shard-0-of-1``), and a
+``repro merge`` output is ``worker="merged"``.  The header never says
+which tasks a journal owns: its result records do, which is what lets
+``repro merge`` validate every journal the same way.
 
 Loading tolerates a torn trailing line (the kill case) and skips malformed
 interior lines rather than aborting, because losing one checkpoint entry
@@ -36,17 +32,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SweepError
 from repro.log import get_logger
 
 JOURNAL_SCHEMA = 1
-
-#: Header ``schedule`` values: static contiguous slices vs the work-stealing
-#: queue of :mod:`repro.parallel.scheduler`.
-SCHEDULE_SHARD = "shard"
-SCHEDULE_QUEUE = "queue"
 
 log = get_logger(__name__)
 
@@ -64,7 +55,7 @@ def build_result_record(
     **extra: object,
 ) -> Dict[str, object]:
     """One ``result`` journal line, shared by the pool runner and the queue
-    scheduler so both schedule modes journal byte-compatible records.
+    scheduler so both journal byte-compatible records.
 
     Successful records carry the row plus any captured telemetry (metrics,
     span tree, flight-recorder events) -- the journal is a task's *complete*
@@ -206,3 +197,47 @@ class SweepJournal:
                 state.malformed_lines,
             )
         return state
+
+
+def open_journal(
+    path: Union[str, Path],
+    grid_sha: str,
+    worker: str,
+    grid_task_ids: Sequence[str],
+    resume: bool = True,
+) -> Tuple[SweepJournal, JournalState]:
+    """Open ``worker``'s journal for appending; returns it and its prior state.
+
+    A journal that already has a header must be this run's: the grid SHA
+    is checked first, then the worker.  A journal that already holds
+    results is refused unless ``resume``.  A journal without a header gets
+    one, so every sweep journal carries the same identity.
+    """
+    state = SweepJournal.load(path)
+    if state.header is not None:
+        # Fail fast on *any* reopen whose header disagrees with this run: a
+        # mismatched journal would otherwise only surface at merge time.
+        if state.header.get("grid_sha") != grid_sha:
+            raise SweepError(
+                f"journal {str(path)!r} was written for a different grid "
+                f"(journal sha {state.header.get('grid_sha')!r} != run sha {grid_sha!r})"
+            )
+        if state.header.get("worker") != worker:
+            raise SweepError(
+                f"journal {path} belongs to worker "
+                f"{state.header.get('worker')!r}, not {worker!r}"
+            )
+    if state.records and not resume:
+        raise SweepError(
+            f"journal {str(path)!r} already holds {len(state.records)} results; "
+            "pass resume=True to continue it or point --journal elsewhere"
+        )
+    journal = SweepJournal(path).open()
+    if state.header is None:
+        journal.append_header(
+            grid_sha=grid_sha,
+            total_tasks=len(grid_task_ids),
+            worker=worker,
+            grid_task_ids=list(grid_task_ids),
+        )
+    return journal, state

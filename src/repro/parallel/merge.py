@@ -1,35 +1,33 @@
 """Reassemble per-host sweep journals into one sweep: ``repro merge``.
 
-A distributed sweep leaves one journal per host, pinned to the *full*
-grid's content SHA, in one of two ownership modes (the header's
-``schedule`` field, see :mod:`repro.parallel.journal`):
+A distributed sweep leaves one journal per host or worker, each pinned to
+the *full* grid's content SHA and task-id list and naming the ``worker``
+that owns it (see :mod:`repro.parallel.journal`).  A ``--shard i/n`` host,
+a queue worker (:mod:`repro.parallel.scheduler`) and an earlier merge all
+write that same header, and their result records -- not the header --
+say which tasks they own.  So every journal, or any mix of them, is
+validated one way: every journal pins the same grid (SHA *and* task-id
+list), each worker appears once, no result lies outside the grid,
+``superseded`` tombstones are dropped, and *identical* duplicate results
+(a steal race, or overlapping shards; values agree -- the
+deterministically chosen winner is kept) are tolerated while conflicting
+ones are rejected.
 
-- ``schedule="shard"``: each journal covers one *static* contiguous slice
-  of the canonical grid order (:meth:`repro.parallel.grid.SweepGrid.shard`).
-  Validation demands the slices be disjoint and jointly exhaustive, with
-  one result per covered task.
-- ``schedule="queue"``: each journal belongs to one worker of a
-  work-stealing queue (:mod:`repro.parallel.scheduler`); ownership is
-  whatever that worker claimed and committed.  Validation demands every
-  journal pin the same grid, drops ``superseded`` tombstones, tolerates
-  *identical* duplicate results (two workers raced, values agree -- the
-  deterministically chosen winner is kept) and rejects conflicting ones.
-
-Either way the merge reassembles the grid-ordered rows, the merged
-telemetry snapshot and the merged flight-recorder event stream.  The
-determinism contract is the headline guarantee: scheduling may change
-*who* computes a row, never its value -- for any shard count, worker
-count, steal or crash, the merge is byte-identical to the equivalent
-unsharded :func:`repro.parallel.runner.run_sweep`.
+The merge reassembles the grid-ordered rows, the merged telemetry
+snapshot and the merged flight-recorder event stream.  The determinism
+contract is the headline guarantee: scheduling may change *who* computes
+a row, never its value -- for any shard count, worker count, steal or
+crash, the merge is byte-identical to the equivalent unsharded
+:func:`repro.parallel.runner.run_sweep`.
 
 Every malformed-journal scenario (truncated journal, missing shard,
-duplicated task ID, mismatched grid SHA, ...) fails with a structured
+journal passed twice, mismatched grid SHA, ...) fails with a structured
 :class:`repro.errors.MergeError` naming the offending journals/tasks
 (all causes: :data:`repro.errors.MERGE_ERROR_CAUSES`).
-``allow_incomplete=True`` degrades only the *coverage* failures
-(missing shard, missing result) into a grid-ordered partial merge with
-the gaps reported; trust failures (SHA mismatch, duplicates, conflicts)
-are never degradable.
+``allow_incomplete=True`` degrades only the *coverage* failure (grid
+tasks with no result, e.g. a shard that never reported back) into a
+grid-ordered partial merge with the gaps reported; trust failures (SHA
+mismatch, duplicate worker, conflicts) are never degradable.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.errors import MergeError
 from repro.log import get_logger
-from repro.parallel.journal import SCHEDULE_QUEUE, SCHEDULE_SHARD, SweepJournal
+from repro.parallel.journal import SweepJournal
 from repro.telemetry.events import EventRecorder, write_events_jsonl
 from repro.telemetry.registry import MetricsRegistry
 
@@ -49,8 +47,7 @@ PathLike = Union[str, Path]
 
 log = get_logger(__name__)
 
-_SHARD_HEADER_FIELDS = ("shard_index", "shard_count", "shard_task_ids")
-_QUEUE_HEADER_FIELDS = ("worker", "grid_task_ids")
+_HEADER_FIELDS = ("worker", "grid_task_ids")
 
 
 def _preview(items: Sequence[str], limit: int = 5) -> str:
@@ -63,11 +60,11 @@ def _preview(items: Sequence[str], limit: int = 5) -> str:
 class ShardView:
     """Parsed view of one per-host journal (header + final per-task records).
 
-    Despite the name (it predates queue mode) a view wraps either journal
-    kind; :attr:`schedule` says which.  ``records`` holds each task's
-    *final* journal line -- journal supersession already applied, so a
-    queue worker's retracted results appear here as their ``superseded``
-    tombstones.
+    The name predates queue workers: a view wraps any sweep journal --
+    a shard's, a queue worker's or a merged one.  ``records`` holds each
+    task's *final* journal line -- journal supersession already applied,
+    so a queue worker's retracted results appear here as their
+    ``superseded`` tombstones.
     """
 
     path: str
@@ -79,38 +76,17 @@ class ShardView:
         return str(self.header.get("grid_sha"))
 
     @property
-    def schedule(self) -> str:
-        """Ownership mode; headers predating queue mode are shard journals."""
-        return str(self.header.get("schedule", SCHEDULE_SHARD))
-
-    @property
     def worker(self) -> str:
-        """Queue mode only: the worker this journal belongs to."""
-        return str(self.header.get("worker", ""))
-
-    @property
-    def shard_index(self) -> int:
-        return int(self.header["shard_index"])  # type: ignore[arg-type]
-
-    @property
-    def shard_count(self) -> int:
-        return int(self.header["shard_count"])  # type: ignore[arg-type]
+        """The worker this journal belongs to."""
+        return str(self.header["worker"])
 
     @property
     def total_tasks(self) -> int:
         return int(self.header.get("total_tasks", 0))  # type: ignore[arg-type]
 
     @property
-    def task_ids(self) -> List[str]:
-        """Tasks this journal *owns*: the static slice (shard mode) or the
-        dynamically committed set in grid order (queue mode)."""
-        if self.schedule == SCHEDULE_QUEUE:
-            return [tid for tid in self.grid_task_ids if tid in self.committed]
-        return [str(tid) for tid in self.header["shard_task_ids"]]  # type: ignore[union-attr]
-
-    @property
     def grid_task_ids(self) -> List[str]:
-        """Queue mode only: the full grid's task ids in canonical order."""
+        """The full grid's task ids in canonical order."""
         return [str(tid) for tid in self.header["grid_task_ids"]]  # type: ignore[union-attr]
 
     @property
@@ -127,24 +103,18 @@ class ShardView:
 class MergeResult:
     """A validated, grid-ordered reassembly of per-host journals.
 
-    ``task_ids`` lists the covered tasks in canonical grid order (shard
-    mode: shards concatenated by index; queue mode: the full grid);
-    ``records`` holds each covered task's final journal record.
-    ``missing_task_ids``/``missing_shards`` report the gaps an
-    ``allow_incomplete`` merge tolerated.
+    ``task_ids`` lists the full grid in canonical order; ``records`` holds
+    each covered task's final journal record.  ``missing_task_ids``
+    reports the gaps an ``allow_incomplete`` merge tolerated.
     """
 
     grid_sha: str
     total_tasks: int
+    #: One view per journal, sorted by worker id.
     shards: List[ShardView]
     task_ids: List[str]
     records: Dict[str, Dict[str, object]]
     missing_task_ids: List[str]
-    missing_shards: List[int]
-    schedule: str = SCHEDULE_SHARD
-    #: Tasks the merged journals jointly cover; defaults to the sum of the
-    #: shard slices (shard mode) when left unset.
-    covered_tasks: Optional[int] = None
 
     @property
     def rows(self) -> List[Dict[str, object]]:
@@ -166,22 +136,17 @@ class MergeResult:
 
     @property
     def missing_count(self) -> int:
-        """Tasks of the full grid with no result: torn/absent + whole shards."""
-        covered = (
-            self.covered_tasks
-            if self.covered_tasks is not None
-            else sum(len(shard.task_ids) for shard in self.shards)
-        )
-        return len(self.missing_task_ids) + (self.total_tasks - covered)
+        """Tasks of the full grid with no result."""
+        return len(self.missing_task_ids)
 
     @property
     def workers(self) -> List[str]:
-        """Queue mode: sorted worker ids the merge drew results from."""
-        return sorted({shard.worker for shard in self.shards if shard.worker})
+        """Sorted worker ids of the merged journals."""
+        return [shard.worker for shard in self.shards]
 
     @property
     def seeds(self) -> List[int]:
-        """Sorted distinct seeds of the covered tasks (from their task IDs)."""
+        """Sorted distinct seeds of the grid's tasks (from their task IDs)."""
         return sorted({int(tid.rsplit("seed=", 1)[1]) for tid in self.task_ids})
 
 
@@ -190,10 +155,13 @@ def merge_journals(
 ) -> MergeResult:
     """Validate and reassemble per-host journals; see the module docstring.
 
-    Dispatches on the journals' ``schedule`` header: all-shard journals go
-    through the static-slice validation, all-queue journals through the
-    dynamic-ownership validation.  Mixing the two modes in one call is a
-    ``mixed-schedule`` error -- they describe different runs.
+    Ownership is whatever each journal committed, so instead of slice
+    arithmetic the validation is: same grid (SHA *and* task-id list), one
+    journal per worker, no results outside the grid, and -- because steal
+    races and overlapping shards can legitimately double-run a task --
+    duplicate results are kept only when their rows are identical (winner
+    chosen deterministically by ``ok``-over-``failed`` status, then lowest
+    worker id, so the merge is independent of journal argument order).
     """
     if not paths:
         raise MergeError("no-journals", "no journals to merge")
@@ -214,187 +182,13 @@ def merge_journals(
             )
         views.append(ShardView(path=str(path), header=state.header, records=state.records))
 
-    schedules = {view.schedule for view in views}
-    if len(schedules) > 1:
-        raise MergeError(
-            "mixed-schedule",
-            "cannot merge shard-mode and queue-mode journals together: "
-            + ", ".join(f"{view.path}={view.schedule}" for view in views),
-            schedules={view.path: view.schedule for view in views},
-        )
-    if schedules == {SCHEDULE_QUEUE}:
-        return _merge_queue(views, allow_incomplete)
-    return _merge_shards(views, allow_incomplete)
-
-
-def _merge_shards(shards: List[ShardView], allow_incomplete: bool) -> MergeResult:
-    """Static mode: disjoint, jointly exhaustive contiguous slices."""
-    for shard in shards:
-        absent = [field for field in _SHARD_HEADER_FIELDS if field not in shard.header]
-        if absent:
-            raise MergeError(
-                "missing-shard-metadata",
-                f"{shard.path}: header lacks {absent} (journal predates sharding?)",
-                path=shard.path,
-                fields=absent,
-            )
-
-    shas = {shard.grid_sha for shard in shards}
-    if len(shas) > 1:
-        raise MergeError(
-            "sha-mismatch",
-            "journals were written for different grids: "
-            + ", ".join(f"{shard.path} sha={shard.grid_sha}" for shard in shards),
-            shas={shard.path: shard.grid_sha for shard in shards},
-        )
-    sha = shards[0].grid_sha
-    total = shards[0].total_tasks
-
-    counts = {shard.shard_count for shard in shards}
-    if len(counts) > 1:
-        raise MergeError(
-            "shard-count-mismatch",
-            "journals disagree on the split: "
-            + ", ".join(f"{shard.path}={shard.shard_index}/{shard.shard_count}"
-                        for shard in shards),
-            counts={shard.path: shard.shard_count for shard in shards},
-        )
-    count = shards[0].shard_count
-
-    by_index: Dict[int, ShardView] = {}
-    for shard in shards:
-        if not 0 <= shard.shard_index < count:
-            raise MergeError(
-                "shard-count-mismatch",
-                f"{shard.path}: shard index {shard.shard_index} out of range "
-                f"for a {count}-way split",
-                path=shard.path,
-                index=shard.shard_index,
-            )
-        if shard.shard_index in by_index:
-            raise MergeError(
-                "duplicate-shard",
-                f"shard {shard.shard_index}/{count} appears in both "
-                f"{by_index[shard.shard_index].path} and {shard.path}",
-                index=shard.shard_index,
-            )
-        by_index[shard.shard_index] = shard
-
-    claims: Dict[str, List[ShardView]] = {}
-    for shard in shards:
-        for tid in shard.task_ids:
-            claims.setdefault(tid, []).append(shard)
-    duplicated = {tid: owners for tid, owners in claims.items() if len(owners) > 1}
-    if duplicated:
-        conflicting = sorted(
-            tid
-            for tid, owners in duplicated.items()
-            if len({
-                json.dumps(owner.records.get(tid, {}).get("row"), sort_keys=True)
-                for owner in owners
-            }) > 1
-        )
-        if conflicting:
-            raise MergeError(
-                "conflicting-result",
-                f"{len(conflicting)} task(s) have conflicting results across "
-                f"journals: {_preview(conflicting)}",
-                task_ids=conflicting,
-            )
-        duplicates = sorted(duplicated)
-        raise MergeError(
-            "duplicate-task",
-            f"{len(duplicates)} task(s) are claimed by more than one shard: "
-            f"{_preview(duplicates)}",
-            task_ids=duplicates,
-        )
-
-    for shard in shards:
-        foreign = sorted(set(shard.records) - set(shard.task_ids))
-        if foreign:
-            raise MergeError(
-                "foreign-result",
-                f"{shard.path} records task(s) outside its shard slice: "
-                f"{_preview(foreign)}",
-                path=shard.path,
-                task_ids=foreign,
-            )
-
-    missing_shards = sorted(set(range(count)) - set(by_index))
-    if missing_shards:
-        if not allow_incomplete:
-            raise MergeError(
-                "missing-shard",
-                f"no journal for shard index(es) {missing_shards} of a "
-                f"{count}-way split; pass --allow-incomplete for a partial merge",
-                shard_indices=missing_shards,
-                shard_count=count,
-            )
-        log.warning(
-            "merging without shard(s) %s of %d: result will be partial",
-            missing_shards, count,
-        )
-
-    ordered = [by_index[index] for index in sorted(by_index)]
-    task_ids = [tid for shard in ordered for tid in shard.task_ids]
-    if not missing_shards and len(task_ids) != total:
-        if not allow_incomplete:
-            raise MergeError(
-                "incomplete-coverage",
-                f"shard slices cover {len(task_ids)} of {total} grid task(s)",
-                covered=len(task_ids),
-                total_tasks=total,
-            )
-        log.warning(
-            "shard slices cover only %d of %d grid task(s)", len(task_ids), total
-        )
-
-    missing_task_ids = [
-        tid for shard in ordered for tid in shard.task_ids
-        if tid not in shard.records
-    ]
-    if missing_task_ids and not allow_incomplete:
-        raise MergeError(
-            "missing-result",
-            f"{len(missing_task_ids)} covered task(s) have no journaled result "
-            f"(shard killed mid-sweep or torn lines?): {_preview(missing_task_ids)}",
-            task_ids=missing_task_ids,
-        )
-
-    records = {
-        tid: shard.records[tid]
-        for shard in ordered
-        for tid in shard.task_ids
-        if tid in shard.records
-    }
-    return MergeResult(
-        grid_sha=sha,
-        total_tasks=total,
-        shards=ordered,
-        task_ids=task_ids,
-        records=records,
-        missing_task_ids=missing_task_ids,
-        missing_shards=missing_shards,
-    )
-
-
-def _merge_queue(views: List[ShardView], allow_incomplete: bool) -> MergeResult:
-    """Dynamic mode: per-worker journals of one work-stealing queue.
-
-    Ownership is whatever each worker committed, so instead of slice
-    arithmetic the validation is: same grid (SHA *and* task-id list), one
-    journal per worker, no results outside the grid, and -- because steal
-    races can legitimately double-run a task -- duplicate results are kept
-    only when their rows are identical (winner chosen deterministically by
-    ``ok``-over-``failed`` status, then lowest worker id, so the merge is
-    independent of journal argument order).
-    """
     for view in views:
-        absent = [field for field in _QUEUE_HEADER_FIELDS if field not in view.header]
+        absent = [field for field in _HEADER_FIELDS if field not in view.header]
         if absent:
             raise MergeError(
                 "missing-queue-metadata",
-                f"{view.path}: queue-mode header lacks {absent}",
+                f"{view.path}: header lacks {absent} (journal predates the "
+                "shared header schema?)",
                 path=view.path,
                 fields=absent,
             )
@@ -470,19 +264,20 @@ def _merge_queue(views: List[ShardView], allow_incomplete: bool) -> MergeResult:
         raise MergeError(
             "conflicting-result",
             f"{len(conflicting)} task(s) have conflicting results across "
-            f"worker journals: {_preview(conflicting)}",
+            f"journals: {_preview(conflicting)}",
             task_ids=conflicting,
         )
     if missing_task_ids and not allow_incomplete:
         raise MergeError(
             "missing-result",
             f"{len(missing_task_ids)} grid task(s) have no committed result "
-            f"(queue not drained, or workers killed?): {_preview(missing_task_ids)}",
+            "(shard or worker killed, journal not collected, or queue not "
+            f"drained?): {_preview(missing_task_ids)}",
             task_ids=missing_task_ids,
         )
     if missing_task_ids:
         log.warning(
-            "merging a partially drained queue: %d of %d task(s) missing",
+            "merging a partial sweep: %d of %d task(s) missing",
             len(missing_task_ids), len(grid_ids),
         )
     return MergeResult(
@@ -492,9 +287,6 @@ def _merge_queue(views: List[ShardView], allow_incomplete: bool) -> MergeResult:
         task_ids=list(grid_ids),
         records=records,
         missing_task_ids=missing_task_ids,
-        missing_shards=[],
-        schedule=SCHEDULE_QUEUE,
-        covered_tasks=len(grid_ids),
     )
 
 
@@ -583,12 +375,11 @@ def merged_metrics(result: MergeResult) -> Dict[str, object]:
 def write_merged_journal(result: MergeResult, path: PathLike) -> Path:
     """Write the reassembled journal: one header, grid-ordered records.
 
-    The merged journal is itself a valid (single-shard) sweep journal --
-    ``repro report`` renders it and ``repro merge`` accepts it again, where
-    an incomplete merge honestly re-reports its gaps.  This holds for queue
-    merges too: the dynamic ownership is resolved here, so the output is
-    always a plain ``schedule=shard`` journal.  ``merged_from`` records how
-    many per-host journals it was assembled from.
+    The merged journal is itself a valid sweep journal, owned by worker
+    ``merged`` -- ``repro report`` renders it and ``repro merge`` accepts
+    it again, where an incomplete merge honestly re-reports its gaps.
+    ``merged_from`` records how many per-host journals it was assembled
+    from.
     """
     path = Path(path)
     if path.exists():
@@ -597,10 +388,8 @@ def write_merged_journal(result: MergeResult, path: PathLike) -> Path:
         journal.append_header(
             grid_sha=result.grid_sha,
             total_tasks=result.total_tasks,
-            schedule=SCHEDULE_SHARD,
-            shard_index=0,
-            shard_count=1,
-            shard_task_ids=result.task_ids,
+            worker="merged",
+            grid_task_ids=result.task_ids,
             merged_from=len(result.shards),
         )
         for tid in result.task_ids:

@@ -16,14 +16,14 @@ across ``ProcessPoolExecutor`` workers.  Three guarantees:
   charged attempts, and the sweep finishes with a structured failure record
   instead of crashing.
 
-Multi-host scale-out layers on top of the same guarantees, in two modes.
+Multi-host scale-out layers on top of the same guarantees.
 ``shard=(i, n)`` runs one *static* contiguous slice of the canonical grid
-order against its own journal (header pinned to the *full* grid's SHA);
-:mod:`repro.parallel.scheduler` instead lets heterogeneous hosts claim
-tasks *dynamically* from a filesystem-backed work-stealing queue, each
-appending to its own ``schedule=queue`` journal.  Either way,
-:mod:`repro.parallel.merge` reassembles the journals into the
-byte-identical unsharded result.
+order against its own journal, owned by worker ``shard-<i>-of-<n>`` and
+pinned to the *full* grid's SHA; :mod:`repro.parallel.scheduler` instead
+lets heterogeneous hosts claim tasks *dynamically* from a
+filesystem-backed work-stealing queue, each appending to its own journal.
+Both write the same journal header, so :mod:`repro.parallel.merge`
+reassembles any mix of them into the byte-identical unsharded result.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ from repro.parallel.grid import (
     SweepTask,
     ensure_unique,
     grid_sha_of,
+    task_ids_of,
 )
-from repro.parallel.journal import SCHEDULE_SHARD, SweepJournal, build_result_record
+from repro.parallel.journal import SweepJournal, build_result_record, open_journal
 from repro.telemetry.live import BEACON_SUFFIX, BeaconWriter
 from repro.telemetry.spans import SpanRecord
 
@@ -137,10 +138,12 @@ def run_sweep(
     ``shard`` restricts the run to one contiguous slice of the canonical
     grid order (a :class:`~repro.parallel.grid.ShardSpec`, an ``'i/n'``
     string, or an ``(i, n)`` pair): the grid SHA and journal header still
-    describe the *full* grid, so ``count`` hosts each running one shard
-    against their own journal can later be reassembled by
-    :func:`repro.parallel.merge.merge_journals` -- byte-identical to an
-    unsharded run.  Resume/retry semantics are unchanged within a shard.
+    describe the *full* grid, and the journal's worker is
+    ``shard-<i>-of-<n>`` (``shard-0-of-1`` unsharded), so ``count`` hosts
+    each running one shard against their own journal can later be
+    reassembled by :func:`repro.parallel.merge.merge_journals` --
+    byte-identical to an unsharded run.  Resume/retry semantics are
+    unchanged within a shard.
 
     ``live_dir`` points a status beacon (:mod:`repro.telemetry.live`) at
     that directory: one ``<worker>.beacon.json`` kept fresh every
@@ -192,9 +195,7 @@ def run_sweep(
 
     try:
         if journal_path is not None:
-            journal = _open_journal(
-                journal_path, sha, tasks, len(full_tasks), spec, resume, outcomes
-            )
+            journal = _open_journal(journal_path, sha, full_tasks, tasks, spec, resume, outcomes)
         elif resume:
             raise SweepError("resume=True requires a journal_path to resume from")
 
@@ -272,51 +273,17 @@ def run_sweep(
 def _open_journal(
     journal_path: str,
     sha: str,
+    full_tasks: Sequence[SweepTask],
     tasks: Sequence[SweepTask],
-    total_tasks: int,
     spec: Optional[ShardSpec],
     resume: bool,
     outcomes: Dict[int, TaskOutcome],
 ) -> SweepJournal:
     """Open (and maybe replay) the journal; fills ``outcomes`` with skips."""
-    state = SweepJournal.load(journal_path)
-    if not resume and state.records:
-        raise SweepError(
-            f"journal {journal_path!r} already holds {len(state.records)} results; "
-            "pass resume=True to continue it or point --journal elsewhere"
-        )
-    if state.header is not None:
-        # Fail fast on *any* reopen -- resume or not -- whose header
-        # disagrees with this run's grid: a mismatched journal would
-        # otherwise only surface at merge time.
-        if state.header.get("grid_sha") != sha:
-            raise SweepError(
-                f"journal {journal_path!r} was written for a different grid "
-                f"(journal sha {state.header.get('grid_sha')!r} != run sha {sha!r})"
-            )
-        schedule = state.header.get("schedule", SCHEDULE_SHARD)
-        if schedule != SCHEDULE_SHARD:
-            raise SweepError(
-                f"journal {journal_path!r} belongs to a {schedule!r}-scheduled "
-                "sweep; resume it through its queue directory, not --shard"
-            )
-        header_shard = (state.header.get("shard_index"), state.header.get("shard_count"))
-        run_shard = (spec.index, spec.count) if spec is not None else (0, 1)
-        if header_shard[1] is not None and header_shard != run_shard:
-            raise SweepError(
-                f"journal {journal_path!r} was written for shard "
-                f"{header_shard[0]}/{header_shard[1]}, not {run_shard[0]}/{run_shard[1]}"
-            )
-    journal = SweepJournal(journal_path).open()
-    if state.header is None:
-        journal.append_header(
-            grid_sha=sha,
-            total_tasks=total_tasks,
-            schedule=SCHEDULE_SHARD,
-            shard_index=spec.index if spec is not None else 0,
-            shard_count=spec.count if spec is not None else 1,
-            shard_task_ids=[task.task_id for task in tasks],
-        )
+    worker_id = f"shard-{spec.index}-of-{spec.count}" if spec is not None else "shard-0-of-1"
+    journal, state = open_journal(
+        journal_path, sha, worker_id, task_ids_of(full_tasks), resume
+    )
     if resume:
         completed = state.completed
         for index, task in enumerate(tasks):

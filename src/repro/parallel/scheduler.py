@@ -33,9 +33,9 @@ conflicting ones, so the headline invariant survives every fault mode:
 scheduling may change *who* computes a row, never its value -- merged
 rows, metrics and flight record are byte-identical to the unsharded run.
 
-Each worker appends to its own ``journals/<worker>.journal.jsonl`` with a
-``schedule="queue"`` header (see :mod:`repro.parallel.journal`), which is
-exactly what ``repro merge`` consumes.
+Each worker appends to its own ``journals/<worker>.journal.jsonl`` with the
+same header every sweep journal carries (see :mod:`repro.parallel.journal`),
+which is exactly what ``repro merge`` consumes.
 """
 
 from __future__ import annotations
@@ -64,18 +64,14 @@ from repro.parallel.grid import (
     grid_sha_of,
     task_ids_of,
 )
-from repro.parallel.journal import (
-    SCHEDULE_QUEUE,
-    SweepJournal,
-    build_result_record,
-)
+from repro.parallel.journal import build_result_record, open_journal
 from repro.parallel.runner import TaskOutcome, TaskRunner, attempt_with_retries
 
 QUEUE_SCHEMA = 1
 DEFAULT_LEASE_TTL = 30.0
 
 #: Env var: seconds to sleep before executing each claimed task.  Fault
-#: injection for tests and the CI ``queue`` job (an artificially slow
+#: injection for tests and the CI ``sweep`` job (an artificially slow
 #: worker must not change any merged byte).
 FAULT_DELAY_ENV = "REPRO_SCHED_FAULT_DELAY"
 
@@ -625,11 +621,11 @@ def run_queue(
     The worker loop: claim the next open task in canonical grid order
     (stealing expired leases), execute it through the same
     retry-with-backoff path as :func:`repro.parallel.runner.run_sweep`,
-    append the full result record to this worker's ``schedule=queue``
-    journal, then commit the ``done/`` marker.  Append-before-commit
-    ordering means a crash between the two leaves an uncommitted-but-
-    journaled result: harmless, because another worker re-runs the task
-    and ``repro merge`` dedups the identical rows.
+    append the full result record to this worker's journal, then commit
+    the ``done/`` marker.  Append-before-commit ordering means a crash
+    between the two leaves an uncommitted-but-journaled result: harmless,
+    because another worker re-runs the task and ``repro merge`` dedups the
+    identical rows.
 
     With ``wait_for_completion`` (the default) a worker that finds nothing
     claimable polls until every task is committed -- it may still steal
@@ -639,7 +635,7 @@ def run_queue(
 
     Set ``REPRO_SCHED_FAULT_DELAY=<seconds>`` to sleep before executing
     each claimed task -- the fault-injection hook the tests and the CI
-    ``queue`` job use to make one worker pathologically slow without
+    ``sweep`` job use to make one worker pathologically slow without
     changing any merged byte.
 
     While running, the worker keeps a live status beacon fresh at
@@ -661,18 +657,7 @@ def run_queue(
     fault_delay = float(os.environ.get(FAULT_DELAY_ENV, "0") or "0")
 
     journal_path = manifest.journal_path(wid)
-    state = SweepJournal.load(journal_path)
-    if state.header is not None:
-        if state.header.get("grid_sha") != manifest.grid_sha:
-            raise SweepError(
-                f"journal {journal_path} was written for a different grid than queue "
-                f"{manifest.root}"
-            )
-        if state.header.get("worker") != wid:
-            raise SweepError(
-                f"journal {journal_path} belongs to worker "
-                f"{state.header.get('worker')!r}, not {wid!r}"
-            )
+    journal, state = open_journal(journal_path, manifest.grid_sha, wid, manifest.task_ids)
 
     committed: List[Tuple[int, TaskOutcome]] = []
     counters = {"claims": 0, "steals": 0, "lease_expired": 0, "superseded": 0}
@@ -691,28 +676,18 @@ def run_queue(
             "superseded": counters["superseded"],
         }
 
-    if beacon_interval and beacon_interval > 0:
-        beacon = live.BeaconWriter(
-            manifest.beacon_path(wid), worker=wid, interval=beacon_interval
-        ).start()
-    if timeline_interval and timeline_interval > 0:
-        sampler = TimelineSampler(
-            manifest.timeline_path(wid),
-            interval=timeline_interval,
-            extra_fn=lambda: {"worker": wid, **_beacon_counts()},
-        ).start()
-
-    journal = SweepJournal(journal_path).open()
     try:
-        if state.header is None:
-            journal.append_header(
-                grid_sha=manifest.grid_sha,
-                total_tasks=manifest.total_tasks,
-                schedule=SCHEDULE_QUEUE,
-                worker=wid,
-                grid_task_ids=manifest.task_ids,
-            )
-        elif state.records:
+        if beacon_interval and beacon_interval > 0:
+            beacon = live.BeaconWriter(
+                manifest.beacon_path(wid), worker=wid, interval=beacon_interval
+            ).start()
+        if timeline_interval and timeline_interval > 0:
+            sampler = TimelineSampler(
+                manifest.timeline_path(wid),
+                interval=timeline_interval,
+                extra_fn=lambda: {"worker": wid, **_beacon_counts()},
+            ).start()
+        if state.records:
             journal.append(
                 {"kind": "resume", "grid_sha": manifest.grid_sha, "skipped": len(state.records)}
             )

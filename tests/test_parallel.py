@@ -259,10 +259,10 @@ def test_run_sweep_refuses_resume_under_a_different_shard_spec(tmp_path):
     grid = _grid(methods=("a", "b", "c"))
     run_sweep(grid, workers=1, journal_path=journal, task_runner=_ok_runner,
               shard="0/2")
-    with pytest.raises(SweepError, match=r"shard 0/2, not 1/2"):
+    with pytest.raises(SweepError, match=r"'shard-0-of-2', not 'shard-1-of-2'"):
         run_sweep(grid, workers=1, journal_path=journal, resume=True,
                   task_runner=_ok_runner, shard="1/2")
-    with pytest.raises(SweepError, match=r"shard 0/2, not 0/1"):
+    with pytest.raises(SweepError, match=r"'shard-0-of-2', not 'shard-0-of-1'"):
         run_sweep(grid, workers=1, journal_path=journal, resume=True,
                   task_runner=_ok_runner)
 

@@ -393,13 +393,21 @@ def _cause(paths, **kwargs):
     return excinfo.value.cause
 
 
-def test_merge_rejects_mixed_schedules(tmp_path):
+def test_merge_of_shard_and_queue_journals_is_byte_identical(tmp_path):
+    """A queue worker's partial journal plus a ``--shard 1/2`` journal of the
+    same grid merge like any other journals: the result rows own the
+    tasks, whichever mode ran them."""
     grid = _grid()
-    queue_paths = _drain(tmp_path, grid)
+    reference = _reference(tmp_path, grid)
+    init_queue(tmp_path / "q", grid, lease_ttl=60.0)
+    queue = run_queue(tmp_path / "q", worker_id="w1", task_runner=_rich_runner,
+                      max_tasks=3, wait_for_completion=False)
     shard_path = tmp_path / "shard.jsonl"
-    run_sweep(grid, task_runner=_rich_runner, shard=(0, 2),
+    run_sweep(grid, task_runner=_rich_runner, shard=(1, 2),
               journal_path=str(shard_path))
-    assert _cause([queue_paths[0], shard_path]) == "mixed-schedule"
+    result = merge_journals([queue.journal_path, shard_path])
+    assert not result.missing_task_ids
+    _assert_identical(tmp_path, result, reference)
 
 
 def test_merge_rejects_missing_queue_metadata(tmp_path):
@@ -525,5 +533,7 @@ def test_cli_queue_rejects_shard_and_workers_combos(tmp_path, monkeypatch, capsy
             "--out", str(tmp_path / "rows.json")]
     assert main(base + ["--shard", "0/2"]) == 2
     assert main(base + ["--workers", "4"]) == 2
+    assert main(base + ["--journal", str(tmp_path / "j.jsonl")]) == 2
+    assert main(base + ["--live-dir", str(tmp_path / "live")]) == 2
     err = capsys.readouterr().err
     assert "incompatible with --shard" in err and "inline" in err

@@ -133,8 +133,12 @@ def test_shard_journal_header_records_the_slice(tmp_path):
     header = SweepJournal.load(journal).header
     assert header["grid_sha"] == grid.grid_sha()
     assert header["total_tasks"] == 3
-    assert (header["shard_index"], header["shard_count"]) == (1, 2)
-    assert header["shard_task_ids"] == [t.task_id for t in grid.shard(1, 2)]
+    # The shard is the journal's worker; its results, not the header,
+    # say which tasks it owns.
+    assert header["worker"] == "shard-1-of-2"
+    assert header["grid_task_ids"] == [t.task_id for t in grid.expand()]
+    owned = set(SweepJournal.load(journal).records)
+    assert owned == {t.task_id for t in grid.shard(1, 2)}
 
 
 def test_unsharded_journal_header_is_the_trivial_shard(tmp_path):
@@ -142,5 +146,5 @@ def test_unsharded_journal_header_is_the_trivial_shard(tmp_path):
     journal = tmp_path / "all.jsonl"
     run_sweep(grid, workers=1, task_runner=_ok_runner, journal_path=str(journal))
     header = SweepJournal.load(journal).header
-    assert (header["shard_index"], header["shard_count"]) == (0, 1)
-    assert header["shard_task_ids"] == [t.task_id for t in grid.expand()]
+    assert header["worker"] == "shard-0-of-1"
+    assert header["grid_task_ids"] == [t.task_id for t in grid.expand()]
