@@ -148,37 +148,30 @@ class MemoryProfiler:
     def _profile_row(
         self, bank: int, row: int, frame_set: set, n_sides: int
     ) -> List[FlipRecord]:
-        geometry = self.os.dram.geometry
-        row_bytes = geometry.row_size_bytes
-        all_frames = geometry.frames_in_row(bank, row)
-        base_frame = all_frames[0] if all_frames else None
-        if base_frame is None:
+        dram = self.os.dram
+        all_frames = dram.geometry.frames_in_row(bank, row)
+        if not all_frames:
             return []
-        original = [self.os.dram.read_frame(f) for f in all_frames]
+        base_frame = all_frames[0]
+        owned = [base_frame + page in frame_set for page in range(dram.geometry.pages_per_row)]
+        data = dram.row_data(bank, row)
+        original = data.copy()
 
         records: List[FlipRecord] = []
         for fill, direction in ((0x00, 1), (0xFF, -1)):
-            pattern = np.full(row_bytes, fill, dtype=np.uint8)
-            self.os.dram.write_bytes(
-                all_frames[0] * PAGE_FRAME_SIZE, pattern
-            )
+            data.fill(fill)
             result = self.engine.hammer_victim(bank, row, n_sides)
-            for column, bit, flip_direction in result.flips:
-                if flip_direction != direction:
-                    continue
-                frame = base_frame + column // PAGE_FRAME_SIZE
-                if frame not in frame_set:
-                    continue
-                records.append(
-                    FlipRecord(
-                        frame=frame,
-                        byte_offset=column % PAGE_FRAME_SIZE,
-                        bit=bit,
-                        direction=direction,
-                        n_sides=n_sides,
-                    )
+            records.extend(
+                FlipRecord(
+                    frame=base_frame + column // PAGE_FRAME_SIZE,
+                    byte_offset=column % PAGE_FRAME_SIZE,
+                    bit=bit,
+                    direction=direction,
+                    n_sides=n_sides,
                 )
-        # Restore whatever the frames held before profiling.
-        for frame, payload in zip(all_frames, original):
-            self.os.dram.write_frame(frame, payload)
+                for column, bit, flip_direction in result.flips
+                if flip_direction == direction and owned[column // PAGE_FRAME_SIZE]
+            )
+        # Restore whatever the row held before profiling.
+        data[:] = original
         return records

@@ -43,16 +43,26 @@ class TestDataStorage:
             DRAMArray(geometry, flips_per_page_mean=-1.0)
 
 
+CELL_FIELDS = ("column", "bit", "direction", "strength")
+
+
 class TestVulnerableCells:
     def test_cells_are_deterministic_per_device(self, geometry):
         a = DRAMArray(geometry, flips_per_page_mean=10.0, seed=3)
         b = DRAMArray(geometry, flips_per_page_mean=10.0, seed=3)
-        assert a.vulnerable_cells(1, 5) == b.vulnerable_cells(1, 5)
+        cells_a, cells_b = a.vulnerable_cells(1, 5), b.vulnerable_cells(1, 5)
+        assert len(cells_a) > 0
+        for field in CELL_FIELDS:
+            np.testing.assert_array_equal(getattr(cells_a, field), getattr(cells_b, field))
 
     def test_different_seeds_differ(self, geometry):
         a = DRAMArray(geometry, flips_per_page_mean=10.0, seed=3)
         b = DRAMArray(geometry, flips_per_page_mean=10.0, seed=4)
-        assert a.vulnerable_cells(1, 5) != b.vulnerable_cells(1, 5)
+        cells_a, cells_b = a.vulnerable_cells(1, 5), b.vulnerable_cells(1, 5)
+        assert not all(
+            np.array_equal(getattr(cells_a, field), getattr(cells_b, field))
+            for field in CELL_FIELDS
+        )
 
     def test_density_matches_profile(self, geometry):
         dram = DRAMArray(geometry, flips_per_page_mean=12.0, seed=0)
@@ -66,7 +76,9 @@ class TestVulnerableCells:
 
     def test_zero_mean_has_no_cells(self, geometry):
         dram = DRAMArray(geometry, flips_per_page_mean=0.0, seed=0)
-        assert dram.vulnerable_cells(0, 0) == []
+        cells = dram.vulnerable_cells(0, 0)
+        assert len(cells) == 0
+        assert all(getattr(cells, field).size == 0 for field in CELL_FIELDS)
 
 
 class TestHammering:
